@@ -28,7 +28,10 @@ name                            kind     emitted by
                                          duration in microseconds
 ``decompress.kernel_us{codec}`` hist     per-launch decompression kernel
                                          duration in microseconds
-``mpi.sends{protocol}``         counter  :class:`repro.mpi.comm.Communicator`
+``mpi.sends{protocol}``         counter  :class:`repro.mpi.comm.Communicator` —
+                                         one per send (``self``, ``eager``,
+                                         ``rndv``, ``rndv_pipelined``,
+                                         ``wire_eager``, ``rndv_wire``)
 ``matching.unexpected{rank}``   counter  :class:`repro.mpi.matching.MatchingEngine`
 ``matching.posted_depth{rank}``     hist observed posted-queue depth
 ``matching.unexpected_depth{rank}`` hist observed unexpected-queue depth
@@ -40,6 +43,7 @@ name                            kind     emitted by
                                          ``decompress_corrupt``)
 ``resilience.<event>``          counter  :class:`repro.mpi.cluster.Runtime` —
                                          recovery actions (``crc_mismatch``,
+                                         ``wire_crc_mismatch``,
                                          ``decode_error``, ``data_timeout``,
                                          ``retransmit``, ``retry``,
                                          ``recovered``, ``fallback``,

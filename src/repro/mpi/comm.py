@@ -192,28 +192,37 @@ class Communicator:
     def isend(self, data: Any, dest: int, tag: int = 0) -> Request:
         """Start a nonblocking send of ``data`` (a numpy array resident
         on this rank's GPU) to local rank ``dest``."""
-        self._check_peer(dest, "destination")
-        rt = self._rt
-        rt.note_send(self._grank)  # may trip an after_sends kill (in-frame)
-        gdest = self._to_global(dest)
-        req = Request(self.sim, kind=f"isend->{gdest}")
-        proc = self.sim.process(
-            self._send_proc(data, gdest, self._shift_tag(tag), req),
-            name=f"isend{self._grank}->{gdest}")
-        rt.adopt(self._grank, proc)
-        return req
+        return self._start_send(data, dest, tag, relay=False)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Start a nonblocking receive.  The request's value is the
         received array."""
+        return self._start_recv(source, tag, relay=False)
+
+    def _start_send(self, data: Any, dest: int, tag: int,
+                    relay: bool) -> Request:
+        self._check_peer(dest, "destination")
+        rt = self._rt
+        rt.note_send(self._grank)  # may trip an after_sends kill (in-frame)
+        gdest = self._to_global(dest)
+        kind, name = ("isend_wire", "isendw") if relay else ("isend", "isend")
+        req = Request(self.sim, kind=f"{kind}->{gdest}")
+        proc = self.sim.process(
+            self._send_proc(data, gdest, self._shift_tag(tag), req, relay),
+            name=f"{name}{self._grank}->{gdest}")
+        rt.adopt(self._grank, proc)
+        return req
+
+    def _start_recv(self, source: int, tag: int, relay: bool) -> Request:
         gsource = source
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
             gsource = self._to_global(source)
-        req = Request(self.sim, kind=f"irecv<-{gsource}")
+        kind, name = ("irecv_wire", "irecvw") if relay else ("irecv", "irecv")
+        req = Request(self.sim, kind=f"{kind}<-{gsource}")
         proc = self.sim.process(
-            self._recv_proc(gsource, self._shift_tag(tag), req),
-            name=f"irecv{self._grank}<-{gsource}")
+            self._recv_proc(gsource, self._shift_tag(tag), req, relay),
+            name=f"{name}{self._grank}<-{gsource}")
         self._rt.adopt(self._grank, proc)
         return req
 
@@ -249,12 +258,16 @@ class Communicator:
         if tracer is not None:
             tracer.metrics.inc("mpi.sends", protocol=protocol)
 
-    def _send_proc(self, data: Any, dest: int, tag: int, req: Request):
+    def _send_proc(self, data: Any, dest: int, tag: int, req: Request,
+                   relay: bool):
+        """Ship one message: self, eager or rendezvous.  With ``relay``
+        set, ``data`` is an already-packed :class:`WireImage` pushed
+        as-is — no sender_prepare/sender_release."""
         rt = self._rt
         try:
             yield self.sim.timeout(SETUP_TIME)
             seq = rt.next_seq()
-            nbytes = self._payload_nbytes(data)
+            nbytes = data.wire_nbytes if relay else self._payload_nbytes(data)
             if dest == self._grank:
                 # Self-send: no wire, deliver the envelope directly.
                 pkt = Packet(PacketKind.EAGER, self._grank, dest, tag, seq,
@@ -270,7 +283,15 @@ class Communicator:
                 yield from rt.transfer(self._grank, dest, nbytes + pkt.control_bytes(),
                                        label="eager")
                 rt.matching_of(dest).deliver_envelope(pkt)
-                self._count_send("eager")
+                self._count_send("wire_eager" if relay else "eager")
+                req.complete()
+                return
+
+            if relay:
+                # The RTS re-piggybacks the image's *original* header.
+                yield from self._rndv_push(rt, dest, tag, seq, data, data.crc,
+                                           data.wire_crc, data.origin_seq)
+                self._count_send("rndv_wire")
                 req.complete()
                 return
 
@@ -317,30 +338,7 @@ class Communicator:
                         data, force_uncompressed=True
                     )
             crc = plan.crc if resil.integrity else None
-            rts = Packet(PacketKind.RTS, self._grank, dest, tag, seq,
-                         header=plan.header, wire_nbytes=plan.wire_nbytes,
-                         crc=crc)
-            with trace_scope(self.sim, "pipeline", "rts", rank=self._grank,
-                             seq=seq, dst=dest, tag=tag):
-                yield from rt.control_delay(self._grank, dest, rts.control_bytes())
-                cts_ev = rt.matching_of(self._grank).expect_cts(seq)
-                rt.matching_of(dest).deliver_envelope(rts)
-            yield from self._await_cts(rt, cts_ev, dest, seq)
-            rt.register_retransmit(seq, self._grank, dest, tag, plan.header,
-                                   plan.payload, plan.wire_nbytes, crc,
-                                   plan.compressed)
-            with trace_scope(self.sim, "pipeline", "wire_transfer",
-                             rank=self._grank, seq=seq,
-                             nbytes=plan.wire_nbytes, dst=dest):
-                delivered = yield from rt.transfer(
-                    self._grank, dest, plan.wire_nbytes,
-                    label="rndv_data", payload=plan.payload,
-                )
-            if delivered is not DROPPED:
-                data_pkt = Packet(PacketKind.DATA, self._grank, dest, tag, seq,
-                                  payload=delivered,
-                                  wire_nbytes=plan.wire_nbytes, crc=crc)
-                rt.matching_of(dest).deliver_data(data_pkt)
+            yield from self._rndv_push(rt, dest, tag, seq, plan, crc)
             with trace_scope(self.sim, "pipeline", "sender_release",
                              rank=self._grank, seq=seq, dst=dest):
                 yield from engine.sender_release(plan)
@@ -348,6 +346,58 @@ class Communicator:
             req.complete()
         except BaseException as exc:  # surfaced via the request
             req.fail(exc)
+
+    def _rts_handshake(self, rt, dest: int, tag: int, seq: int, header,
+                       wire_nbytes: int, crc, wire_crc=None, origin_seq=None):
+        """Send the RTS piggybacking ``header``, then wait for the CTS
+        under the handshake timeout and the receiver's death watch."""
+        rts = Packet(PacketKind.RTS, self._grank, dest, tag, seq,
+                     header=header, wire_nbytes=wire_nbytes, crc=crc,
+                     wire_crc=wire_crc, origin_seq=origin_seq)
+        relayed = {} if origin_seq is None else {"origin_seq": origin_seq}
+        with trace_scope(self.sim, "pipeline", "rts", rank=self._grank,
+                         seq=seq, dst=dest, tag=tag, **relayed):
+            yield from rt.control_delay(self._grank, dest, rts.control_bytes())
+            cts_ev = rt.matching_of(self._grank).expect_cts(seq)
+            rt.matching_of(dest).deliver_envelope(rts)
+        t = rt.resilience.handshake_timeout
+        _, timed_out = yield from self._guarded_wait(
+            rt, cts_ev, dest, "cts", seq=seq, timeout=t)
+        if timed_out:
+            rt.resilience_event("timeout", rank=self._grank, seq=seq,
+                                dst=dest, phase="cts")
+            raise RendezvousTimeoutError(
+                f"rank {self._grank}: no CTS from rank {dest} for seq {seq} "
+                f"within {t}s",
+                diagnostic=rt.matching_report(),
+            )
+
+    def _rndv_push(self, rt, dest: int, tag: int, seq: int, image, crc,
+                   wire_crc=None, origin_seq=None):
+        """Rendezvous for one prepared ``image`` (a ``SendPlan`` or a
+        :class:`WireImage`): RTS/CTS, retain the wire bytes for
+        retransmission, then push them as one DATA packet."""
+        yield from self._rts_handshake(rt, dest, tag, seq, image.header,
+                                       image.wire_nbytes, crc, wire_crc,
+                                       origin_seq)
+        rt.register_retransmit(seq, self._grank, dest, tag, image.header,
+                               image.payload, image.wire_nbytes, crc,
+                               image.compressed, wire_crc=wire_crc,
+                               origin_seq=origin_seq)
+        relayed = {} if origin_seq is None else {"origin_seq": origin_seq}
+        with trace_scope(self.sim, "pipeline", "wire_transfer",
+                         rank=self._grank, seq=seq,
+                         nbytes=image.wire_nbytes, dst=dest, **relayed):
+            delivered = yield from rt.transfer(
+                self._grank, dest, image.wire_nbytes,
+                label="rndv_data", payload=image.payload,
+            )
+        if delivered is not DROPPED:
+            data_pkt = Packet(PacketKind.DATA, self._grank, dest, tag, seq,
+                              payload=delivered,
+                              wire_nbytes=image.wire_nbytes, crc=crc,
+                              wire_crc=wire_crc, origin_seq=origin_seq)
+            rt.matching_of(dest).deliver_data(data_pkt)
 
     def _compression_failed(self, rt, breaker, dest: int, seq: int, exc) -> None:
         """Host-side bookkeeping for a transient sender-side compression
@@ -426,34 +476,13 @@ class Communicator:
             diagnostic=rt.matching_report(),
         )
 
-    def _await_cts(self, rt, cts_ev, dest: int, seq: int):
-        """Wait for the CTS under the handshake timeout and the
-        receiver's death watch."""
-        t = rt.resilience.handshake_timeout
-        _, timed_out = yield from self._guarded_wait(
-            rt, cts_ev, dest, "cts", seq=seq, timeout=t)
-        if timed_out:
-            rt.resilience_event("timeout", rank=self._grank, seq=seq,
-                                dst=dest, phase="cts")
-            raise RendezvousTimeoutError(
-                f"rank {self._grank}: no CTS from rank {dest} for seq {seq} "
-                f"within {t}s",
-                diagnostic=rt.matching_report(),
-            )
-
     def _send_pipelined(self, rt, dest: int, tag: int, seq: int, pplan):
         """Stream each partition as its compression kernel completes."""
         engine = rt.engine_of(self._grank)
         crc = pplan.crc if rt.resilience.integrity else None
         total = pplan.header.wire_bytes
-        rts = Packet(PacketKind.RTS, self._grank, dest, tag, seq,
-                     header=pplan.header, wire_nbytes=total, crc=crc)
-        with trace_scope(self.sim, "pipeline", "rts", rank=self._grank,
-                         seq=seq, dst=dest, tag=tag):
-            yield from rt.control_delay(self._grank, dest, rts.control_bytes())
-            cts_ev = rt.matching_of(self._grank).expect_cts(seq)
-            rt.matching_of(dest).deliver_envelope(rts)
-        yield from self._await_cts(rt, cts_ev, dest, seq)
+        yield from self._rts_handshake(rt, dest, tag, seq, pplan.header,
+                                       total, crc)
         if rt.faults is not None:
             # Retain the full concatenated wire image: a NACKed
             # pipelined message is retransmitted as one un-pipelined
@@ -509,11 +538,7 @@ class Communicator:
             rt.matching_of(self._grank).expect_data(pkt.seq, part=i)
             for i in range(header.n_partitions)
         ]
-        cts = Packet(PacketKind.CTS, self._grank, pkt.src, pkt.tag, pkt.seq)
-        with trace_scope(self.sim, "pipeline", "cts", rank=self._grank,
-                         seq=pkt.seq, dst=pkt.src):
-            yield from rt.control_delay(self._grank, pkt.src, cts.control_bytes())
-            rt.matching_of(pkt.src).deliver_cts(cts)
+        yield from self._reply_cts(rt, pkt)
 
         failures: list = []
 
@@ -561,7 +586,10 @@ class Communicator:
         )
         req.complete(data)
 
-    def _recv_proc(self, source: int, tag: int, req: Request):
+    def _recv_proc(self, source: int, tag: int, req: Request,
+                   relay: bool):
+        """Receive one message.  With ``relay`` set, the request's value
+        is the arrived :class:`WireImage`, checked but not decoded."""
         rt = self._rt
         try:
             yield self.sim.timeout(SETUP_TIME)
@@ -581,19 +609,23 @@ class Communicator:
                 rt, engine, pkt.header, pkt.seq, pkt.src
             )
             data_ev = rt.matching_of(self._grank).expect_data(pkt.seq)
-            cts = Packet(PacketKind.CTS, self._grank, pkt.src, tag, pkt.seq)
-            with trace_scope(self.sim, "pipeline", "cts", rank=self._grank,
-                             seq=pkt.seq, dst=pkt.src):
-                yield from rt.control_delay(self._grank, pkt.src, cts.control_bytes())
-                rt.matching_of(pkt.src).deliver_cts(cts)
+            yield from self._reply_cts(rt, pkt)
             data_pkt = yield from self._await_data(rt, data_ev,
                                                    src=pkt.src, seq=pkt.seq)
             data = yield from self._complete_with_retries(
-                rt, engine, pkt, data_pkt, resources
+                rt, engine, pkt, data_pkt, resources, relay=relay
             )
             req.complete(data)
         except BaseException as exc:
             req.fail(exc)
+
+    def _reply_cts(self, rt, pkt):
+        """Answer the RTS ``pkt`` with a clear-to-send."""
+        cts = Packet(PacketKind.CTS, self._grank, pkt.src, pkt.tag, pkt.seq)
+        with trace_scope(self.sim, "pipeline", "cts", rank=self._grank,
+                         seq=pkt.seq, dst=pkt.src):
+            yield from rt.control_delay(self._grank, pkt.src, cts.control_bytes())
+            rt.matching_of(pkt.src).deliver_cts(cts)
 
     # -- resilient receiver machinery ------------------------------------------
     def _receiver_prepare_resilient(self, rt, engine, header, seq: int,
@@ -638,11 +670,17 @@ class Communicator:
         return None if timed_out else pkt
 
     def _complete_with_retries(self, rt, engine, pkt, data_pkt, resources,
+                               relay: bool = False,
                                initial_failure: Optional[str] = None,
                                initial_exc: Optional[BaseException] = None):
-        """Decompress + integrity-check, NACKing for retransmission on
+        """Complete a rendezvous message, NACKing for retransmission on
         failure (CRC mismatch, decode error, or delivery timeout) until
-        the message survives or the retry budget is spent."""
+        the message survives or the retry budget is spent.
+
+        The completion step decodes and checks the post-decode CRC; a
+        ``relay`` instead checks the wire CRC of the arrived image
+        *without decompressing* and returns it as a :class:`WireImage`.
+        """
         resil = rt.resilience
         header = pkt.header
         seq = pkt.seq
@@ -655,28 +693,45 @@ class Communicator:
                     failure = "data_timeout"
                 else:
                     extra = {"attempt": attempt} if attempt else {}
+                    if pkt.origin_seq is not None:
+                        extra["origin_seq"] = pkt.origin_seq
                     with trace_scope(self.sim, "pipeline", "receiver_complete",
                                      rank=self._grank, seq=seq, src=pkt.src,
                                      wire_nbytes=data_pkt.wire_nbytes,
                                      **extra):
-                        try:
-                            data = yield from engine.receiver_complete(
-                                header, data_pkt.payload, resources
-                            )
-                        except _DECODE_ERRORS as exc:
-                            failure = "decode_error"
-                            last_exc = exc
-                    if failure is None:
-                        resources = []  # released by receiver_complete
-                        crc = data_pkt.crc if resil.integrity else None
-                        if crc is not None and payload_crc32(data) != crc:
-                            failure = "crc_mismatch"
+                        if relay:
+                            wcrc = data_pkt.wire_crc if resil.integrity else None
+                            if wcrc is not None \
+                                    and payload_crc32(data_pkt.payload) != wcrc:
+                                failure = "wire_crc_mismatch"
+                            else:
+                                data = WireImage(
+                                    header=header, payload=data_pkt.payload,
+                                    wire_nbytes=data_pkt.wire_nbytes,
+                                    crc=data_pkt.crc, wire_crc=data_pkt.wire_crc,
+                                    origin_seq=pkt.origin_seq or 0,
+                                )
                         else:
-                            rt.retire(seq, True)
-                            if attempt:
-                                rt.resilience_event("recovered", rank=self._grank,
-                                                    seq=seq, attempts=attempt)
-                            return data
+                            try:
+                                data = yield from engine.receiver_complete(
+                                    header, data_pkt.payload, resources
+                                )
+                            except _DECODE_ERRORS as exc:
+                                failure = "decode_error"
+                                last_exc = exc
+                            else:
+                                resources = []  # released by receiver_complete
+                                crc = data_pkt.crc if resil.integrity else None
+                                if crc is not None and payload_crc32(data) != crc:
+                                    failure = "crc_mismatch"
+                    if failure is None:
+                        if resources:
+                            yield from engine._release(resources)
+                        rt.retire(seq, True)
+                        if attempt:
+                            rt.resilience_event("recovered", rank=self._grank,
+                                                seq=seq, attempts=attempt)
+                        return data
             attempt += 1
             if rt.is_dead(pkt.src):
                 # No point NACKing a dead sender; surface the failure
@@ -693,7 +748,8 @@ class Communicator:
                 if resources:
                     yield from engine._release(resources)
                 retries = attempt - 1
-                msg = (f"rank {self._grank}: message seq {seq} from rank "
+                what = "wire image" if relay else "message"
+                msg = (f"rank {self._grank}: {what} seq {seq} from rank "
                        f"{pkt.src} failed ({failure}) after {retries} "
                        f"retransmission(s)")
                 if failure == "data_timeout":
@@ -701,7 +757,7 @@ class Communicator:
                         msg, diagnostic=rt.matching_report())
                 if entry is None and last_exc is not None:
                     raise last_exc  # no resilience active: original error
-                if failure == "crc_mismatch":
+                if failure in ("crc_mismatch", "wire_crc_mismatch"):
                     raise IntegrityError(msg)
                 raise RetryExhaustedError(msg) from last_exc
             yield from self._backoff(rt, attempt, seq, failure)
@@ -825,40 +881,21 @@ class Communicator:
             b = other.payload if not other.compressed else (yield from self.unpack_wire(other))
             out = op(a, b)
             nbytes = self._payload_nbytes(out)
+        # a raw image's wire bytes are its data: one CRC serves both
+        crc = payload_crc32(out) if integrity else None
         return WireImage(
             header=CompressionHeader.uncompressed(nbytes), payload=out,
-            wire_nbytes=nbytes,
-            crc=payload_crc32(out) if integrity else None,
-            wire_crc=payload_crc32(out) if integrity else None,
-            origin_seq=origin_seq,
+            wire_nbytes=nbytes, crc=crc, wire_crc=crc, origin_seq=origin_seq,
         )
 
     def isend_wire(self, wire: WireImage, dest: int, tag: int = 0) -> Request:
         """Nonblocking relay of an already-packed wire image."""
-        self._check_peer(dest, "destination")
-        rt = self._rt
-        rt.note_send(self._grank)  # may trip an after_sends kill (in-frame)
-        gdest = self._to_global(dest)
-        req = Request(self.sim, kind=f"isend_wire->{gdest}")
-        proc = self.sim.process(
-            self._send_wire_proc(wire, gdest, self._shift_tag(tag), req),
-            name=f"isendw{self._grank}->{gdest}")
-        rt.adopt(self._grank, proc)
-        return req
+        return self._start_send(wire, dest, tag, relay=True)
 
     def irecv_wire(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive of a wire image; the request's value is
         the :class:`WireImage` (not decoded — pass it on or unpack)."""
-        gsource = source
-        if source != ANY_SOURCE:
-            self._check_peer(source, "source")
-            gsource = self._to_global(source)
-        req = Request(self.sim, kind=f"irecv_wire<-{gsource}")
-        proc = self.sim.process(
-            self._recv_wire_proc(gsource, self._shift_tag(tag), req),
-            name=f"irecvw{self._grank}<-{gsource}")
-        self._rt.adopt(self._grank, proc)
-        return req
+        return self._start_recv(source, tag, relay=True)
 
     def send_wire(self, wire: WireImage, dest: int, tag: int = 0):
         req = self.isend_wire(wire, dest, tag)
@@ -877,172 +914,6 @@ class Communicator:
         received = yield from rreq.wait()
         yield from sreq.wait()
         return received
-
-    def _send_wire_proc(self, wire: WireImage, dest: int, tag: int,
-                        req: Request):
-        rt = self._rt
-        try:
-            yield self.sim.timeout(SETUP_TIME)
-            seq = rt.next_seq()
-            if dest == self._grank:
-                pkt = Packet(PacketKind.EAGER, self._grank, dest, tag, seq,
-                             payload=wire, wire_nbytes=wire.wire_nbytes)
-                rt.matching_of(dest).deliver_envelope(pkt)
-                self._count_send("self")
-                req.complete()
-                return
-            if wire.wire_nbytes < EAGER_THRESHOLD:
-                pkt = Packet(PacketKind.EAGER, self._grank, dest, tag, seq,
-                             payload=wire, wire_nbytes=wire.wire_nbytes)
-                yield from rt.transfer(self._grank, dest,
-                                       wire.wire_nbytes + pkt.control_bytes(),
-                                       label="eager")
-                rt.matching_of(dest).deliver_envelope(pkt)
-                self._count_send("wire_eager")
-                req.complete()
-                return
-            # Rendezvous relay: the RTS re-piggybacks the *original*
-            # header; no sender_prepare — the image is already packed.
-            rts = Packet(PacketKind.RTS, self._grank, dest, tag, seq,
-                         header=wire.header, wire_nbytes=wire.wire_nbytes,
-                         crc=wire.crc, wire_crc=wire.wire_crc,
-                         origin_seq=wire.origin_seq)
-            with trace_scope(self.sim, "pipeline", "rts", rank=self._grank,
-                             seq=seq, dst=dest, tag=tag,
-                             origin_seq=wire.origin_seq):
-                yield from rt.control_delay(self._grank, dest, rts.control_bytes())
-                cts_ev = rt.matching_of(self._grank).expect_cts(seq)
-                rt.matching_of(dest).deliver_envelope(rts)
-            yield from self._await_cts(rt, cts_ev, dest, seq)
-            rt.register_retransmit(seq, self._grank, dest, tag, wire.header,
-                                   wire.payload, wire.wire_nbytes, wire.crc,
-                                   wire.compressed, wire_crc=wire.wire_crc,
-                                   origin_seq=wire.origin_seq)
-            with trace_scope(self.sim, "pipeline", "wire_transfer",
-                             rank=self._grank, seq=seq,
-                             nbytes=wire.wire_nbytes, dst=dest,
-                             origin_seq=wire.origin_seq):
-                delivered = yield from rt.transfer(
-                    self._grank, dest, wire.wire_nbytes,
-                    label="rndv_data", payload=wire.payload,
-                )
-            if delivered is not DROPPED:
-                data_pkt = Packet(PacketKind.DATA, self._grank, dest, tag, seq,
-                                  payload=delivered,
-                                  wire_nbytes=wire.wire_nbytes, crc=wire.crc,
-                                  wire_crc=wire.wire_crc,
-                                  origin_seq=wire.origin_seq)
-                rt.matching_of(dest).deliver_data(data_pkt)
-            self._count_send("rndv_wire")
-            req.complete()
-        except BaseException as exc:
-            req.fail(exc)
-
-    def _recv_wire_proc(self, source: int, tag: int, req: Request):
-        rt = self._rt
-        try:
-            yield self.sim.timeout(SETUP_TIME)
-            match_ev = rt.matching_of(self._grank).post_recv(source, tag)
-            pkt, _ = yield from self._guarded_wait(rt, match_ev, source,
-                                                   "envelope")
-            if pkt.kind == PacketKind.EAGER:
-                req.complete(pkt.payload)  # the WireImage itself
-                return
-            if pkt.kind != PacketKind.RTS:
-                raise MpiError(f"unexpected envelope {pkt!r}")
-            engine = rt.engine_of(self._grank)
-            resources = yield from self._receiver_prepare_resilient(
-                rt, engine, pkt.header, pkt.seq, pkt.src
-            )
-            data_ev = rt.matching_of(self._grank).expect_data(pkt.seq)
-            cts = Packet(PacketKind.CTS, self._grank, pkt.src, tag, pkt.seq)
-            with trace_scope(self.sim, "pipeline", "cts", rank=self._grank,
-                             seq=pkt.seq, dst=pkt.src):
-                yield from rt.control_delay(self._grank, pkt.src, cts.control_bytes())
-                rt.matching_of(pkt.src).deliver_cts(cts)
-            data_pkt = yield from self._await_data(rt, data_ev,
-                                                   src=pkt.src, seq=pkt.seq)
-            wire = yield from self._wire_complete_with_retries(
-                rt, engine, pkt, data_pkt, resources
-            )
-            req.complete(wire)
-        except BaseException as exc:
-            req.fail(exc)
-
-    def _wire_complete_with_retries(self, rt, engine, pkt, data_pkt,
-                                    resources):
-        """The relay-side recovery loop: verify the wire CRC of the
-        arrived image *without decompressing*, NACKing the immediate
-        upstream hop for retransmission on mismatch or timeout."""
-        resil = rt.resilience
-        seq = pkt.seq
-        attempt = 0
-        failure: Optional[str] = None
-        while True:
-            if failure is None:
-                if data_pkt is None:
-                    failure = "data_timeout"
-                else:
-                    extra = {"attempt": attempt} if attempt else {}
-                    if pkt.origin_seq is not None:
-                        extra["origin_seq"] = pkt.origin_seq
-                    with trace_scope(self.sim, "pipeline", "receiver_complete",
-                                     rank=self._grank, seq=seq, src=pkt.src,
-                                     wire_nbytes=data_pkt.wire_nbytes,
-                                     **extra):
-                        wcrc = data_pkt.wire_crc if resil.integrity else None
-                        ok = wcrc is None \
-                            or payload_crc32(data_pkt.payload) == wcrc
-                    if ok:
-                        if resources:
-                            yield from engine._release(resources)
-                        rt.retire(seq, True)
-                        if attempt:
-                            rt.resilience_event("recovered", rank=self._grank,
-                                                seq=seq, attempts=attempt)
-                        return WireImage(
-                            header=pkt.header, payload=data_pkt.payload,
-                            wire_nbytes=data_pkt.wire_nbytes,
-                            crc=data_pkt.crc, wire_crc=data_pkt.wire_crc,
-                            origin_seq=pkt.origin_seq or 0,
-                        )
-                    failure = "wire_crc_mismatch"
-            attempt += 1
-            if rt.is_dead(pkt.src):
-                # No point NACKing a dead sender; surface the failure
-                # instead of burning the retry budget.
-                rt.retire(seq, False)
-                if resources:
-                    yield from engine._release(resources)
-                self._raise_rank_failed(rt, pkt.src, failure, seq)
-            entry = rt.retransmit_entry(seq)
-            rt.resilience_event(failure, rank=self._grank, seq=seq,
-                                src=pkt.src, attempt=attempt)
-            if entry is None or attempt > resil.max_retries:
-                rt.retire(seq, False)
-                if resources:
-                    yield from engine._release(resources)
-                retries = attempt - 1
-                msg = (f"rank {self._grank}: wire image seq {seq} from rank "
-                       f"{pkt.src} failed ({failure}) after {retries} "
-                       f"retransmission(s)")
-                if failure == "data_timeout":
-                    raise RendezvousTimeoutError(
-                        msg, diagnostic=rt.matching_report())
-                raise IntegrityError(msg)
-            yield from self._backoff(rt, attempt, seq, failure)
-            nack = Packet(PacketKind.CTS, self._grank, pkt.src, pkt.tag, seq)
-            with trace_scope(self.sim, "resilience", "nack", rank=self._grank,
-                             track="faults", seq=seq, dst=pkt.src,
-                             attempt=attempt):
-                yield from rt.control_delay(self._grank, pkt.src,
-                                            nack.control_bytes())
-            rt.notify_nack(seq)
-            data_ev = rt.matching_of(self._grank).expect_data(seq, 0, attempt)
-            rt.spawn_retransmit(seq, attempt)
-            data_pkt = yield from self._await_data(rt, data_ev,
-                                                   src=pkt.src, seq=pkt.seq)
-            failure = None
 
     def keep_compressed_active(self, data=None) -> bool:
         """True when collectives should route ``data`` through the

@@ -16,8 +16,7 @@ objects from a :class:`~repro.network.presets.MachinePreset`:
 
 ``transfer(src, dst, nbytes)`` resolves the route and moves the bytes,
 charging end-to-end latency plus serialization at the bottleneck while
-holding every traversed link.  A networkx graph of the topology is
-available for inspection and for tooling built on top.
+holding every traversed link.
 
 Route resolution is cached: ``node_of`` is a precomputed array lookup
 and ``route()``/``path_*()`` memoize per ``(src, dst)`` pair, so the
@@ -28,7 +27,6 @@ on overflow, which keeps behaviour deterministic.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import NetworkError
@@ -279,51 +277,6 @@ class Topology:
         if outcome == "corrupt":
             return faults.corrupt_payload(payload)
         return payload
-
-    # -- inspection -----------------------------------------------------------
-    def graph(self) -> "nx.DiGraph":
-        """A networkx digraph of GPUs, node switches and the switching
-        fabric, annotated with link specs (Figure 1 style).
-
-        Flat presets keep the single core ``switch``; fat-tree adds
-        per-group leaf switches under a ``spine``; dragonfly adds
-        per-group routers with direct group-to-group edges.
-        """
-        g = nx.DiGraph()
-        if self.kind == "flat":
-            switch_of = {n: "switch" for n in range(self.nodes)}
-            g.add_node("switch", kind="switch")
-        else:
-            gl = self.preset.group_link
-            switch_of = {}
-            for grp in range(self.n_groups):
-                g.add_node(f"group{grp}", kind="switch", group=grp)
-            for n in range(self.nodes):
-                switch_of[n] = f"group{self.group_of(n)}"
-            if self.kind == "fat-tree":
-                g.add_node("spine", kind="switch")
-                for grp in range(self.n_groups):
-                    g.add_edge(f"group{grp}", "spine", spec=gl, bandwidth=gl.bandwidth)
-                    g.add_edge("spine", f"group{grp}", spec=gl, bandwidth=gl.bandwidth)
-            else:
-                for a in range(self.n_groups):
-                    for b in range(self.n_groups):
-                        if a != b:
-                            g.add_edge(f"group{a}", f"group{b}",
-                                       spec=gl, bandwidth=gl.bandwidth)
-        for n in range(self.nodes):
-            hub = f"node{n}"
-            g.add_node(hub, kind="node")
-            up, down = self.preset.inter_link, self.preset.inter_link
-            g.add_edge(hub, switch_of[n], spec=up, bandwidth=up.bandwidth)
-            g.add_edge(switch_of[n], hub, spec=down, bandwidth=down.bandwidth)
-            for k in range(self.gpus_per_node):
-                gpu = n * self.gpus_per_node + k
-                g.add_node(f"gpu{gpu}", kind="gpu", device=self.preset.device.name)
-                il = self.preset.intra_link
-                g.add_edge(f"gpu{gpu}", hub, spec=il, bandwidth=il.bandwidth)
-                g.add_edge(hub, f"gpu{gpu}", spec=il, bandwidth=il.bandwidth)
-        return g
 
     def __repr__(self) -> str:
         return (

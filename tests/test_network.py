@@ -223,14 +223,13 @@ def test_zero_byte_transfer():
 
 def test_graph_structure():
     sim, topo = _topo(nodes=2, gpn=2)
-    g = topo.graph()
-    kinds = {d["kind"] for _, d in g.nodes(data=True)}
-    assert kinds == {"switch", "node", "gpu"}
-    assert g.number_of_nodes() == 1 + 2 + 4
-    # Fig 1 disparity readable from the graph annotations:
-    bw_gpu = g.edges["gpu0", "node0"]["bandwidth"]
-    bw_ib = g.edges["node0", "switch"]["bandwidth"]
-    assert bw_gpu / bw_ib == pytest.approx(6.0)
+    (intra,) = topo.route(0, 1)  # GPU link inside node 0
+    up, down = topo.route(0, 2)  # node0's uplink, node1's downlink
+    assert (up.label, down.label) == ("node0-up", "node1-down")
+    assert topo.route(2, 0)[0].label == "node1-up"
+    # Fig 1 disparity readable from the link specs:
+    assert intra.spec.bandwidth / up.spec.bandwidth == pytest.approx(6.0)
+    assert down.spec == up.spec
 
 
 # -- hierarchical topologies -------------------------------------------------
@@ -312,23 +311,32 @@ def test_hierarchical_preset_validation():
 def test_fat_tree_graph_structure():
     sim = Simulator()
     topo = Topology(sim, machine_preset("fat-tree"), nodes=18, gpus_per_node=1)
-    g = topo.graph()
-    names = set(g.nodes)
-    assert {"spine", "group0", "group1"} <= names
-    assert "switch" not in names
-    assert g.has_edge("group0", "spine") and g.has_edge("spine", "group1")
-    assert g.has_edge("node0", "group0") and g.has_edge("node17", "group1")
+    # cross-group: uplink -> group trunk up -> group trunk down -> downlink
+    labels = [l.label for l in topo.route(0, 17)]
+    assert labels == ["node0-up", "group0-up", "group1-down", "node17-down"]
+    trunk = topo.route(0, 17)[1].spec
+    assert trunk == topo.preset.group_link
+    # in-group routes stay on the leaf switch
+    assert [l.label for l in topo.route(0, 1)] == ["node0-up", "node1-down"]
 
 
 def test_dragonfly_graph_structure():
     sim = Simulator()
     topo = Topology(sim, machine_preset("dragonfly"), nodes=17, gpus_per_node=1)
-    g = topo.graph()
     assert topo.n_groups == 3
-    for a in range(3):
-        for b in range(3):
-            assert g.has_edge(f"group{a}", f"group{b}") == (a != b)
-    assert "spine" not in set(g.nodes)
+    used = set()
+    for src in range(topo.n_gpus):
+        for dst in range(topo.n_gpus):
+            a = topo.group_of(topo.node_of(src))
+            b = topo.group_of(topo.node_of(dst))
+            labels = [l.label for l in topo.route(src, dst)]
+            # one direct global link per ordered group pair, none within
+            # a group, and no fat-tree spine trunks
+            assert [x for x in labels if not x.startswith("node")] == \
+                ([f"g{a}->g{b}"] if a != b else [])
+            used.update(labels)
+    assert {x for x in used if x.startswith("g")} == \
+        {f"g{a}->g{b}" for a in range(3) for b in range(3) if a != b}
 
 
 def test_cross_group_transfer_slower_than_in_group():

@@ -125,12 +125,8 @@ def fingerprint(name: str) -> str:
     else:
         op, plan = rest
         cluster, rank_fn, config = _collective(op)
+    res = cluster.run(rank_fn, config=config, faults=FAULT_PLANS[plan])
     h = hashlib.sha256()
-    try:
-        res = cluster.run(rank_fn, config=config, faults=FAULT_PLANS[plan])
-    except Exception as exc:  # a run the fault plan defeats is an outcome too
-        h.update(f"error:{type(exc).__name__}:{exc}".encode())
-        return h.hexdigest()
     doc = to_chrome_trace(res.tracer, elapsed=res.elapsed)
     h.update(json.dumps(doc, sort_keys=True).encode())
     h.update(json.dumps(res.tracer.metrics.as_dict(), sort_keys=True).encode())
