@@ -10,18 +10,36 @@ the simulation, never its results.
 Lookups are keyed by a CRC-32 fingerprint of the raw bytes plus the
 codec identity, then confirmed by an exact byte comparison against a
 reference copy stored with the entry, so a fingerprint collision can
-only ever cause a spurious miss — never a wrong result.  CRC-32 runs
-at memory speed (hardware CLMUL), which matters because the compress
-side hashes every outgoing send buffer.  Entries are LRU-bounded by
-total byte size (reference copies included).  ``decompress`` hits
-return a fresh copy — callers are allowed to mutate received arrays.
+only ever cause a spurious miss — never a wrong result.  Entries are
+LRU-bounded by total byte size (reference copies included).
+
+CRC-32 is not free: zlib 1.2.13 computes it from tables, without
+CLMUL (about 1.9 GB/s on 1 MiB on a 2-vCPU Xeon VM), and around the
+codecs it is the largest host cost of a send.  Every byte image is therefore hashed once per
+process, and the hashes are handed on rather than recomputed:
+
+* ``compress`` records its lookup fingerprint — the CRC of the source
+  bytes — on the result as ``meta["src_crc32"]``;
+* ``decompress`` hashes a decoded image once, when it stores it, and
+  records that CRC on the ``CompressedData`` it was given as
+  ``meta["out_crc32"]`` (on hits and misses alike).
+
+The integrity stamps and checks (:class:`repro.core.engine.
+CompressionEngine`, :mod:`repro.mpi.comm`) read these instead of
+re-hashing the same bytes, folding per-partition CRCs together with
+:func:`repro.utils.integrity.crc32_concat`.  That is sound only while
+the stored image cannot change, so stored decode results are private
+and read-only; ``decompress`` returns a fresh, writeable copy whose
+bytes are exactly the hashed ones (callers may mutate received
+arrays).  Fault-wrapped ``cache_unsafe`` codecs bypass the cache and
+record no CRC, so their output is always hashed fresh and a silently
+corrupted decode is still caught.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from typing import Optional
 
 import numpy as np
 
@@ -110,8 +128,10 @@ class CodecCache:
         return comp
 
     def decompress(self, codec: Compressor, comp: CompressedData) -> np.ndarray:
-        """Memoized ``codec.decompress(comp)`` (returns a fresh copy)."""
+        """Memoized ``codec.decompress(comp)``: returns a fresh copy and
+        sets ``comp.meta["out_crc32"]`` to that copy's CRC-32."""
         if getattr(codec, "cache_unsafe", False):
+            comp.meta.pop("out_crc32", None)
             return codec.decompress(comp)
         raw = _raw_view(comp.payload)
         key = self._key(
@@ -120,10 +140,12 @@ class CodecCache:
             zlib.crc32(raw), raw.nbytes,
         )
         cached = self._get(key, raw)
-        if cached is not None:
-            return cached.copy()
-        out = codec.decompress(comp)
-        self._put(key, out, out.nbytes + raw.nbytes + 64, raw.copy())
+        if cached is None:
+            out = codec.decompress(comp)
+            out.setflags(write=False)
+            cached = (out, zlib.crc32(_raw_view(out)) & 0xFFFFFFFF)
+            self._put(key, cached, out.nbytes + raw.nbytes + 64, raw.copy())
+        out, comp.meta["out_crc32"] = cached
         return out.copy()
 
     def stats(self) -> dict:

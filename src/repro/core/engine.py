@@ -44,7 +44,7 @@ from repro.core.tuning import partitions_for_message
 from repro.errors import CompressionError
 from repro.gpu.device import Device
 from repro.gpu.pool import BufferPool, SizeClassBufferPool
-from repro.utils.integrity import payload_crc32
+from repro.utils.integrity import crc32_concat, payload_crc32
 from repro.utils.units import KiB, MiB
 
 __all__ = ["CompressionEngine", "SendPlan"]
@@ -99,6 +99,14 @@ def _partition_counts(n_elements: int, parts: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
+def _parts_crc(comps, key: str) -> Optional[int]:
+    """CRC-32 of the concatenated (source or decoded) images of
+    ``comps``, folded from the per-part CRCs the codec cache recorded
+    under ``meta[key]``; ``None`` when any part lacks one."""
+    return crc32_concat((c.meta.get(key), c.n_elements * c.dtype.itemsize)
+                        for c in comps)
+
+
 class CompressionEngine:
     """Per-rank compression state machine."""
 
@@ -142,31 +150,22 @@ class CompressionEngine:
         """CRC32 of what the receiver must reconstruct.
 
         Lossless codecs round-trip to the original bytes, so the raw
-        CRC suffices.  Lossy codecs (zfp/sz) are checked against the
-        *clean* decompression of the wire bytes — computed with the
-        unwrapped codec so an installed fault wrapper can neither
-        corrupt nor draw RNG for the expected value.
+        CRC suffices: the codec cache already hashed each source piece
+        as its lookup fingerprint (``src_crc32``).  Lossy codecs
+        (zfp/sz) are checked against the *clean* decompression of the
+        wire bytes — decoded with the unwrapped codec so an installed
+        fault wrapper can neither corrupt nor draw RNG for the expected
+        value; the cache records each part's ``out_crc32`` on the
+        (cache-shared) comp, so re-sends need no decode at all.
         """
         clean = getattr(codec, "inner", codec)
         if clean.lossless:
-            if len(comps) == 1 and comps[0].n_elements == data.size:
-                # The codec cache already CRC'd exactly these bytes as
-                # its lookup fingerprint; recomputing would hash the
-                # full source buffer a second time per send.
-                crc = comps[0].meta.get("src_crc32")
-                if crc is not None:
-                    return crc
-            return payload_crc32(data)
-        if len(comps) == 1:
-            crc = comps[0].meta.get("out_crc32")
-            if crc is None:
-                crc = payload_crc32(GLOBAL_CODEC_CACHE.decompress(clean, comps[0]))
-                # Decompression is deterministic, so the expected-value
-                # CRC can ride on the (cache-shared) comp for re-sends.
-                comps[0].meta["out_crc32"] = crc
-            return crc
-        outs = [GLOBAL_CODEC_CACHE.decompress(clean, c) for c in comps]
-        return payload_crc32(np.concatenate(outs))
+            crc = _parts_crc(comps, "src_crc32")
+            return payload_crc32(data) if crc is None else crc
+        for c in comps:
+            if "out_crc32" not in c.meta:
+                GLOBAL_CODEC_CACHE.decompress(clean, c)
+        return _parts_crc(comps, "out_crc32")
 
     def _acquire_data_buffer(self, nbytes: int, label: str):
         """Pool hit (cheap) or cudaMalloc (the naive path's cost)."""
@@ -316,7 +315,8 @@ class CompressionEngine:
             yield from self._release(resources)
             return SendPlan(
                 header=CompressionHeader.uncompressed(nbytes),
-                payload=data, wire_nbytes=nbytes, crc=payload_crc32(data),
+                payload=data, wire_nbytes=nbytes,
+                crc=self._plan_crc(codec, data, comps),  # lossless: raw CRC
             )
         self._record_compression("mpc", nbytes, payload.nbytes)
         comp_buf.write(payload)
@@ -557,7 +557,10 @@ class CompressionEngine:
         plan.resources = []
 
     def pipelined_receive_part(self, header: CompressionHeader, part: int, payload):
-        """Decompress one arrived partition (generator subroutine)."""
+        """Decompress one arrived partition (generator subroutine).
+
+        Returns ``(data, crc)``: ``crc`` is the codec cache's CRC-32 of
+        ``data``, or ``None`` when it must be hashed fresh."""
         spec = self.device.spec
         model = kernel_cost_model_for(header.algorithm)
         codec = self._codec(header.algorithm, **header.codec_params())
@@ -577,7 +580,8 @@ class CompressionEngine:
             payload=np.ascontiguousarray(payload, dtype=np.uint8),
             n_elements=counts[part], dtype=dtype, params=header.codec_params(),
         )
-        return GLOBAL_CODEC_CACHE.decompress(codec, comp)
+        out = GLOBAL_CODEC_CACHE.decompress(codec, comp)
+        return out, comp.meta.get("out_crc32")
 
     # -- compressed-domain reduction (hZCCL-style) ---------------------------
     def reduce_capable(self, op) -> bool:
@@ -694,8 +698,9 @@ class CompressionEngine:
         )
         crc = None
         if want_crc:
-            outs = [GLOBAL_CODEC_CACHE.decompress(clean, c) for c in reduced]
-            crc = payload_crc32(np.concatenate(outs) if parts > 1 else outs[0])
+            for c in reduced:
+                GLOBAL_CODEC_CACHE.decompress(clean, c)
+            crc = _parts_crc(reduced, "out_crc32")
         return header, payload, crc
 
     # -- receiver -----------------------------------------------------------
@@ -717,9 +722,14 @@ class CompressionEngine:
         return resources
 
     def receiver_complete(self, header: CompressionHeader, payload, resources: list):
-        """After the data lands: decompress and restore the original."""
+        """After the data lands: decompress and restore the original.
+
+        Returns ``(data, crc)``: ``crc`` is the CRC-32 of ``data``
+        folded from the codec cache's per-part decode CRCs, or ``None``
+        when the caller must hash ``data`` itself (uncompressed
+        payloads, fault-wrapped codecs)."""
         if not header.compressed:
-            return payload
+            return payload, None
         spec = self.device.spec
         model = kernel_cost_model_for(header.algorithm)
         codec = self._codec(header.algorithm, **header.codec_params())
@@ -739,23 +749,22 @@ class CompressionEngine:
         self._observe_kernels("decompress", header.algorithm, durations)
         yield from self._run_partition_kernels(durations, blocks, "decompression_kernel")
 
-        # Real decompression, partition by partition.
-        out_parts = []
-        offset = 0
+        # Validate the partition table, then decompress part by part.
         payload = np.ascontiguousarray(payload, dtype=np.uint8)
-        for count, size in zip(counts, header.partition_sizes):
-            piece = payload[offset:offset + size]
-            offset += size
-            comp = CompressedData(
-                algorithm=header.algorithm, payload=piece, n_elements=count,
-                dtype=dtype, params=header.codec_params(),
-            )
-            out_parts.append(GLOBAL_CODEC_CACHE.decompress(codec, comp))
-        if offset != payload.nbytes:
+        if header.wire_bytes != payload.nbytes:
             raise CompressionError(
-                f"payload has {payload.nbytes} bytes but partitions account for {offset}"
+                f"payload has {payload.nbytes} bytes but partitions account "
+                f"for {header.wire_bytes}"
             )
+        pieces = np.split(payload, np.cumsum(header.partition_sizes[:-1]))
+        comps = [
+            CompressedData(algorithm=header.algorithm, payload=piece,
+                           n_elements=count, dtype=dtype,
+                           params=header.codec_params())
+            for count, piece in zip(counts, pieces)
+        ]
+        out_parts = [GLOBAL_CODEC_CACHE.decompress(codec, c) for c in comps]
         result = np.concatenate(out_parts) if parts > 1 else out_parts[0]
 
         yield from self._release(resources)
-        return result
+        return result, _parts_crc(comps, "out_crc32")

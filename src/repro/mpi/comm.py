@@ -45,7 +45,7 @@ from repro.mpi.message import Packet, PacketKind
 from repro.mpi.request import Request
 from repro.mpi.wire import WireImage
 from repro.sim.trace import trace_scope
-from repro.utils.integrity import payload_crc32
+from repro.utils.integrity import crc32_concat, payload_crc32
 from repro.utils.units import KiB
 
 __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG", "EAGER_THRESHOLD",
@@ -95,6 +95,16 @@ _TRANSIENT = (CompressionError, OutOfDeviceMemoryError, BufferPoolExhaustedError
 #: else (a KeyboardInterrupt, a genuine bug) must propagate, not be
 #: retried as if the fabric corrupted the payload.
 _DECODE_ERRORS = (CompressionError, ValueError, IndexError)
+
+
+def _crc_ok(stamp, data, known) -> bool:
+    """True when there is no integrity ``stamp`` or the delivered
+    ``data`` matches it.  ``known`` is the CRC-32 the codec cache took
+    of the read-only image ``data`` was copied from; ``None`` means
+    hash ``data`` fresh."""
+    if stamp is None:
+        return True
+    return (payload_crc32(data) if known is None else known) == stamp
 
 
 class _AgreementRestart(Exception):
@@ -552,7 +562,7 @@ class Communicator:
                              rank=self._grank, seq=pkt.seq, src=pkt.src,
                              part=i):
                 try:
-                    out = yield from engine.pipelined_receive_part(
+                    part = yield from engine.pipelined_receive_part(
                         header, i, data_pkt.payload
                     )
                 except _DECODE_ERRORS as exc:
@@ -560,7 +570,7 @@ class Communicator:
                         raise
                     failures.append(("decode_error", exc))
                     return None
-            return out
+            return part  # (data, crc)
 
         procs = [
             self.sim.process(part_receiver(i), name=f"pipe-recv{i}")
@@ -571,9 +581,9 @@ class Communicator:
         results = yield self.sim.all_of(procs)
         if not failures:
             parts = [results[i] for i in range(header.n_partitions)]
-            data = np.concatenate(parts)
-            crc = pkt.crc if resil.integrity else None
-            if crc is None or payload_crc32(data) == crc:
+            data = np.concatenate([out for out, _ in parts])
+            known = crc32_concat((crc, out.nbytes) for out, crc in parts)
+            if _crc_ok(pkt.crc if resil.integrity else None, data, known):
                 yield from engine._release(resources)
                 rt.retire(pkt.seq, True)
                 req.complete(data)
@@ -713,7 +723,7 @@ class Communicator:
                                 )
                         else:
                             try:
-                                data = yield from engine.receiver_complete(
+                                data, known = yield from engine.receiver_complete(
                                     header, data_pkt.payload, resources
                                 )
                             except _DECODE_ERRORS as exc:
@@ -722,7 +732,7 @@ class Communicator:
                             else:
                                 resources = []  # released by receiver_complete
                                 crc = data_pkt.crc if resil.integrity else None
-                                if crc is not None and payload_crc32(data) != crc:
+                                if not _crc_ok(crc, data, known):
                                     failure = "crc_mismatch"
                     if failure is None:
                         if resources:
@@ -829,14 +839,14 @@ class Communicator:
                          nbytes=wire.wire_nbytes, origin_seq=wire.origin_seq):
             resources = yield from engine.receiver_prepare(wire.header)
             try:
-                data = yield from engine.receiver_complete(
+                data, known = yield from engine.receiver_complete(
                     wire.header, wire.payload, resources
                 )
             except BaseException:
                 if resources:
                     yield from engine._release(resources)
                 raise
-        if wire.crc is not None and payload_crc32(data) != wire.crc:
+        if not _crc_ok(wire.crc, data, known):
             raise IntegrityError(
                 f"rank {self._grank}: wire image origin_seq={wire.origin_seq} "
                 f"failed its post-decode CRC"

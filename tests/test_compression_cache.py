@@ -1,5 +1,7 @@
 """Codec memoization cache."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,44 @@ def test_cache_correctness_under_mpc_roundtrip(rng):
     comp = cache.compress(codec, x)
     y = cache.decompress(codec, comp)
     assert np.array_equal(x.view(np.uint32), y.view(np.uint32))
+
+
+def test_decompress_records_crc_of_returned_copy_on_miss_and_hit(rng):
+    cache = CodecCache()
+    codec = ZfpCompressor(16)
+    comp = codec.compress(rng.standard_normal(1000).astype(np.float32))
+    miss = cache.decompress(codec, comp)
+    assert comp.meta["out_crc32"] == zlib.crc32(miss)
+    # a fresh container for the same bytes (as a receiver builds one)
+    again = type(comp)(comp.algorithm, comp.payload.copy(), comp.n_elements,
+                       comp.dtype, dict(comp.params))
+    hit = cache.decompress(codec, again)
+    assert cache.hits == 1
+    assert again.meta["out_crc32"] == zlib.crc32(hit) == comp.meta["out_crc32"]
+
+
+def test_mutating_returned_copy_leaves_entry_intact(rng):
+    cache = CodecCache()
+    codec = MpcCompressor(1)
+    a = rng.standard_normal(1000).astype(np.float32)
+    comp = codec.compress(a)
+    out = cache.decompress(codec, comp)
+    assert out.flags.writeable
+    out[:] = 0.0
+    (stored, crc), = [entry[0] for entry in cache._store.values()]
+    assert not stored.flags.writeable
+    assert np.array_equal(stored, a) and crc == zlib.crc32(a)
+    assert np.array_equal(cache.decompress(codec, comp), a)
+
+
+def test_cache_unsafe_codec_records_no_crc(rng):
+    class Flaky(MpcCompressor):
+        cache_unsafe = True
+
+    cache = CodecCache()
+    codec = Flaky(1)
+    comp = codec.compress(rng.standard_normal(1000).astype(np.float32))
+    comp.meta["out_crc32"] = 123  # stale value from elsewhere
+    cache.decompress(codec, comp)
+    assert "out_crc32" not in comp.meta
+    assert cache.hits == cache.misses == 0

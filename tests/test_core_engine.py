@@ -31,7 +31,7 @@ def full_roundtrip(config, data):
     def proc():
         plan = yield from eng_s.sender_prepare(data)
         res = yield from eng_r.receiver_prepare(plan.header)
-        out = yield from eng_r.receiver_complete(plan.header, plan.payload, res)
+        out, _ = yield from eng_r.receiver_complete(plan.header, plan.payload, res)
         yield from eng_s.sender_release(plan)
         return plan, out
 
@@ -231,6 +231,41 @@ def test_single_partition_no_combine():
     assert eng.sim.tracer.total("combine") == 0
 
 
+def _plan_crc_input(layout):
+    flat = smooth_f32(2 * 4096 * 64)
+    if layout == "2d":
+        return flat[: 4096 * 64].reshape(4096, 64)
+    return flat.reshape(4096, 128)[:, ::2]  # non-contiguous rows
+
+
+@pytest.mark.parametrize("layout", ["2d", "strided"])
+def test_plan_crc_folds_partition_fingerprints(layout):
+    """The lossless stamp folded from the cache's per-piece
+    fingerprints equals a fresh hash of the whole (row-split) input."""
+    from repro.compression.cache import GLOBAL_CODEC_CACHE
+    from repro.utils.integrity import payload_crc32
+
+    data = _plan_crc_input(layout)
+    _, _, eng = make_engine(CompressionConfig.mpc_opt(threshold=0, partitions=4))
+    codec = eng._codec("mpc", dimensionality=1)
+    comps = [GLOBAL_CODEC_CACHE.compress(codec, p) for p in np.array_split(data, 4)]
+    assert all("src_crc32" in c.meta for c in comps)
+    assert eng._plan_crc(codec, data, comps) == payload_crc32(data)
+
+
+@pytest.mark.parametrize("layout", ["2d", "strided"])
+def test_plan_crc_lossy_folds_decoded_crcs(layout):
+    from repro.compression.cache import GLOBAL_CODEC_CACHE
+    from repro.utils.integrity import payload_crc32
+
+    data = _plan_crc_input(layout)
+    _, _, eng = make_engine(CompressionConfig.zfp_opt(threshold=0))
+    codec = eng._codec("zfp", rate=16)
+    comps = [GLOBAL_CODEC_CACHE.compress(codec, p) for p in np.array_split(data, 4)]
+    decoded = np.concatenate([codec.decompress(c) for c in comps])
+    assert eng._plan_crc(codec, data, comps) == payload_crc32(decoded)
+
+
 def test_sender_release_returns_buffers():
     cfg = CompressionConfig.mpc_opt(threshold=0)
     sim, dev, eng = make_engine(cfg)
@@ -265,7 +300,7 @@ def test_payload_partition_size_mismatch_rejected():
 
     def proc():
         res = yield from eng.receiver_prepare(plan.header)
-        out = yield from eng.receiver_complete(
+        out, _ = yield from eng.receiver_complete(
             plan.header, plan.payload[:-8], res
         )
         return out

@@ -8,7 +8,7 @@ from repro.compression import MpcCompressor, ZfpCompressor, get_compressor
 from repro.compression.base import CompressedData
 from repro.core import CompressionConfig
 from repro.core.header import CompressionHeader
-from repro.errors import CompressionError, HeaderError, ReproError
+from repro.errors import CompressionError, HeaderError
 
 from tests.conftest import smooth_f32
 
@@ -66,7 +66,7 @@ def test_header_unknown_algorithm_code():
 
 def test_engine_rejects_partition_sum_mismatch():
     """A header whose partition sizes disagree with the payload length
-    must be rejected by the receiver pipeline."""
+    must be rejected by the receiver pipeline before any decode runs."""
     from repro.core.engine import CompressionEngine
     from repro.gpu.device import Device
     from repro.gpu.spec import V100
@@ -82,12 +82,21 @@ def test_engine_rejects_partition_sum_mismatch():
         tuple(s + 8 for s in plan.header.partition_sizes),
     )
 
+    class NoDecode:
+        cache_unsafe = True  # no cache hit may stand in for a decode
+
+        def decompress(self, comp):
+            raise AssertionError("decoded before validating the partition table")
+
+    for key in eng._codecs:
+        eng._codecs[key] = NoDecode()
+
     def proc():
         res = yield from eng.receiver_prepare(tampered)
-        out = yield from eng.receiver_complete(tampered, plan.payload, res)
+        out, _ = yield from eng.receiver_complete(tampered, plan.payload, res)
         return out
 
-    with pytest.raises(ReproError):
+    with pytest.raises(CompressionError, match="partitions account for"):
         sim.run_process(proc())
 
 
