@@ -23,6 +23,7 @@ import pytest
 
 from repro.analysis import to_chrome_trace
 from repro.analysis.bench import named_config
+from repro.core import CompressionConfig
 from repro.faults import FaultPlan
 from repro.mpi.cluster import Cluster
 from repro.network.presets import machine_preset
@@ -42,6 +43,25 @@ FAULT_PLANS = {
 PT2PT_CONFIGS = ("baseline", "mpc-opt", "zfp8", "zfp8-pipe")
 PT2PT_SIZES = {"4K": 4 * KiB, "1M": 1 * MiB}
 
+#: every transport codec and sender variant of the compression engine,
+#: as (config, payload dtype), pinned above the compression threshold on
+#: the clean and compress-fail plans.  The SZ bound is a power of two so
+#: the float32 copy carried in the header is exact.
+CODEC_CONFIGS = {
+    "naive-mpc": (named_config("naive-mpc"), np.float32),
+    "naive-zfp": (named_config("naive-zfp"), np.float32),
+    "adaptive": (named_config("adaptive"), np.float32),
+    "mpc-pipe": (CompressionConfig.mpc_opt().with_(pipeline=True,
+                                                   partitions=8), np.float32),
+    "fpc": (CompressionConfig(enabled=True, algorithm="fpc"), np.float32),
+    "null": (CompressionConfig(enabled=True, algorithm="null"), np.float32),
+    "gfc-f64": (CompressionConfig(enabled=True, algorithm="gfc"), np.float64),
+    "sz-f64": (CompressionConfig(enabled=True, algorithm="sz",
+                                 sz_error_bound=2.0 ** -10), np.float64),
+}
+CODEC_SIZES = {"1M": 1 * MiB, "4M": 4 * MiB}
+CODEC_PLANS = ("clean", "corrupt-compfail")
+
 #: keep-compressed collectives on Longhorn 2x2 under MPC-OPT; each
 #: per-rank chunk is above the 128 KiB compression threshold so every
 #: multi-hop exchange relays WireImages by rendezvous.
@@ -49,9 +69,14 @@ COLLECTIVES = ("bcast", "allgather", "allreduce-ring", "allreduce-rdouble",
                "alltoall", "scatter")
 
 
-def _pt2pt(config, nbytes):
+def _payload(nbytes, dtype=np.float32):
+    """``nbytes`` of the wave payload, widened to ``dtype``."""
+    words = nbytes // np.dtype(dtype).itemsize
+    return make_payload("wave", 4 * words, seed=1).astype(dtype)
+
+
+def _pt2pt(data):
     cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
-    data = make_payload("wave", nbytes, seed=1)
 
     def rank_fn(comm):
         if comm.rank == 0:
@@ -62,7 +87,7 @@ def _pt2pt(config, nbytes):
         yield from comm.send(got, 0, tag=10)
         return got
 
-    return cluster, rank_fn, named_config(config)
+    return cluster, rank_fn
 
 
 def _collective(op):
@@ -99,6 +124,9 @@ def scenarios() -> list[str]:
     names = [f"pt2pt/{cfg}/{size}/{plan}"
              for cfg in PT2PT_CONFIGS for size in PT2PT_SIZES
              for plan in FAULT_PLANS]
+    names += [f"pt2pt/{cfg}/{size}/{plan}"
+              for cfg in CODEC_CONFIGS for size in CODEC_SIZES
+              for plan in CODEC_PLANS]
     names += [f"coll/{op}/{plan}" for op in COLLECTIVES
               for plan in FAULT_PLANS]
     return names
@@ -121,7 +149,12 @@ def fingerprint(name: str) -> str:
     kind, *rest = name.split("/")
     if kind == "pt2pt":
         cfg, size, plan = rest
-        cluster, rank_fn, config = _pt2pt(cfg, PT2PT_SIZES[size])
+        if cfg in CODEC_CONFIGS:
+            config, dtype = CODEC_CONFIGS[cfg]
+            data = _payload(CODEC_SIZES[size], dtype)
+        else:
+            config, data = named_config(cfg), _payload(PT2PT_SIZES[size])
+        cluster, rank_fn = _pt2pt(data)
     else:
         op, plan = rest
         cluster, rank_fn, config = _collective(op)
