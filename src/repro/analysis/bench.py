@@ -398,20 +398,23 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def write(doc: dict, path) -> None:
+def write(doc: dict, path, kind: str = "bench") -> None:
     """Write a snapshot — canonical JSON, or a binary RPRT container
     (with the numeric metrics additionally laid out columnar) when
-    ``path`` ends in ``.rprt``."""
+    ``path`` ends in ``.rprt``; ``kind`` tags the container
+    (``bench`` or ``hostperf``)."""
     if str(path).lower().endswith(".rprt"):
         from repro.analysis.rprt import write_snapshot_rprt
 
-        write_snapshot_rprt(doc, path, kind="bench")
+        write_snapshot_rprt(doc, path, kind=kind)
         return
     with open(path, "w") as fh:
         fh.write(dumps(doc))
 
 
 def load(path) -> dict:
+    """Read a bench or hostperf snapshot (JSON or RPRT) and check its
+    schema version."""
     from repro.analysis.rprt import is_rprt, read_snapshot_rprt
 
     if is_rprt(path):

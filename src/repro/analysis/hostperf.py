@@ -59,7 +59,6 @@ feed simulated results, only advisory host-speed tracking.
 
 from __future__ import annotations
 
-import json
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -68,6 +67,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.analysis import bench
 from repro.utils.units import KiB, MiB
 
 __all__ = [
@@ -76,7 +76,10 @@ __all__ = [
     "PerfDrift", "PerfComparison",
 ]
 
-SCHEMA_VERSION = 1
+# One snapshot format for bench and hostperf: canonical JSON or RPRT,
+# gated on the same schema version.
+SCHEMA_VERSION = bench.SCHEMA_VERSION
+dumps, load, _r = bench.dumps, bench.load, bench._r
 
 #: codec configurations tracked by the matrix — chosen to cover every
 #: bit-assembly path: byte-aligned and odd-rate ZFP 1-D, float64 ZFP,
@@ -167,10 +170,6 @@ def _time_median(fn: Callable[[], None], reps: int) -> float:
         fn()
         samples.append(time.perf_counter() - t0)  # repro: allow-RPR001 — see above
     return median(samples)
-
-
-def _r(x: float, places: int = 6) -> float:
-    return round(float(x), places)
 
 
 def _run_codec(params: dict, reps: int) -> dict:
@@ -300,7 +299,6 @@ def _run_engine_scale(params: dict, reps: int) -> dict:
 
 
 def _run_e2e(params: dict, reps: int) -> dict:
-    from repro.analysis import bench
     from repro.compression.cache import GLOBAL_CODEC_CACHE
 
     def one_run() -> None:
@@ -343,36 +341,10 @@ def collect(quick: bool = True, label: str = "local", reps: int = 5,
 
 # -- serialization -----------------------------------------------------------
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-
 def write(doc: dict, path) -> None:
     """Write a snapshot — canonical JSON, or a binary RPRT container
     when ``path`` ends in ``.rprt``."""
-    if str(path).lower().endswith(".rprt"):
-        from repro.analysis.rprt import write_snapshot_rprt
-
-        write_snapshot_rprt(doc, path, kind="hostperf")
-        return
-    with open(path, "w") as fh:
-        fh.write(dumps(doc))
-
-
-def load(path) -> dict:
-    from repro.analysis.rprt import is_rprt, read_snapshot_rprt
-
-    if is_rprt(path):
-        doc = read_snapshot_rprt(path)
-    else:
-        with open(path) as fh:
-            doc = json.load(fh)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version {version!r} unsupported "
-            f"(expected {SCHEMA_VERSION})")
-    return doc
+    bench.write(doc, path, kind="hostperf")
 
 
 # -- comparison --------------------------------------------------------------

@@ -94,11 +94,10 @@ class CodecCache:
 
     @staticmethod
     def _codec_params(codec: Compressor) -> tuple:
-        params = []
-        for attr in ("dimensionality", "rate"):
-            if hasattr(codec, attr):
-                params.append((attr, getattr(codec, attr)))
-        return tuple(params)
+        """Every parameter of ``codec`` (its public instance attributes:
+        MPC's dimensionality, ZFP's rate, SZ's error bound, ...)."""
+        return tuple(sorted((k, v) for k, v in vars(codec).items()
+                            if not k.startswith("_")))
 
     def compress(self, codec: Compressor, data: np.ndarray) -> CompressedData:
         """Memoized ``codec.compress(data)``."""

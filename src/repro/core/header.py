@@ -17,10 +17,11 @@ Binary layout (little-endian)::
 
     u8   magic (0xC5)
     u8   flags          bit0: compressed, bit1: pipelined
-    u8   algorithm      0=null 1=mpc 2=zfp 3=fpc
+    u8   algorithm      0=null 1=mpc 2=zfp 3=fpc 4=gfc 5=sz
     u8   dtype          0=float32 1=float64
     u64  n_elements
-    u32  param          (mpc dimensionality | zfp rate)
+    u32  param          mpc dimensionality | zfp rate | the float32
+                        bits of the sz error bound | 0 (null/fpc/gfc)
     u16  n_partitions
     u32  x n_partitions  compressed bytes per partition
 """
@@ -140,14 +141,21 @@ class CompressionHeader:
 
     def codec_params(self) -> dict:
         """Control parameters to reconstruct the codec on the receiver."""
-        if self.algorithm == "mpc":
-            return {"dimensionality": self.param}
-        if self.algorithm == "zfp":
-            return {"rate": self.param}
-        if self.algorithm == "sz":
+        return self.params_for(self.algorithm, self.param)
+
+    @staticmethod
+    def params_for(algorithm: str, param: int) -> dict:
+        """Codec keyword arguments for a header's ``(algorithm, param)``
+        — how the sender builds its codec and the receiver rebuilds it,
+        so both ends run the codec the header describes."""
+        if algorithm == "mpc":
+            return {"dimensionality": param}
+        if algorithm == "zfp":
+            return {"rate": param}
+        if algorithm == "sz":
             # the u32 param carries the float32 bit pattern of the bound
             return {"error_bound": float(
-                np.frombuffer(struct.pack("<I", self.param), dtype=np.float32)[0]
+                np.frombuffer(struct.pack("<I", param), dtype=np.float32)[0]
             )}
         return {}
 

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.compression import MpcCompressor, ZfpCompressor
+from repro.compression import MpcCompressor, ZfpCompressor, get_compressor
 from repro.compression.cache import CodecCache
 
 
@@ -26,6 +26,23 @@ def test_different_params_miss(rng):
     cache.compress(MpcCompressor(1), a)
     cache.compress(MpcCompressor(2), a)
     assert cache.misses == 2
+
+
+def test_sz_error_bound_keys_the_cache(rng):
+    cache = CodecCache()
+    x = rng.standard_normal(1000)
+    fine, coarse = get_compressor("sz", error_bound=1e-3), \
+        get_compressor("sz", error_bound=0.1)
+    fine_comp = cache.compress(fine, x)
+    coarse_comp = cache.compress(coarse, x)
+    assert cache.misses == 2 and cache.hits == 0
+    assert coarse_comp.payload.tobytes() == coarse.compress(x).payload.tobytes()
+    assert coarse_comp.nbytes < fine_comp.nbytes
+    # decoding the same bytes under another bound is another entry too
+    cache.decompress(fine, fine_comp)
+    out = cache.decompress(coarse, fine_comp)
+    assert cache.misses == 4
+    assert np.array_equal(out, coarse.decompress(fine_comp))
 
 
 def test_different_codec_miss(rng):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import CompressionConfig, CompressionEngine
+from repro.faults import FaultPlan
 from repro.gpu.device import Device
 from repro.gpu.spec import V100
+from repro.mpi.cluster import Cluster
+from repro.network.presets import machine_preset
+from repro.omb.payload import make_payload
 from repro.sim import Simulator, Tracer
 from repro.utils.units import KiB, MiB, us
 
@@ -247,7 +251,7 @@ def test_plan_crc_folds_partition_fingerprints(layout):
 
     data = _plan_crc_input(layout)
     _, _, eng = make_engine(CompressionConfig.mpc_opt(threshold=0, partitions=4))
-    codec = eng._codec("mpc", dimensionality=1)
+    codec = eng._codec("mpc", 1)
     comps = [GLOBAL_CODEC_CACHE.compress(codec, p) for p in np.array_split(data, 4)]
     assert all("src_crc32" in c.meta for c in comps)
     assert eng._plan_crc(codec, data, comps) == payload_crc32(data)
@@ -260,7 +264,7 @@ def test_plan_crc_lossy_folds_decoded_crcs(layout):
 
     data = _plan_crc_input(layout)
     _, _, eng = make_engine(CompressionConfig.zfp_opt(threshold=0))
-    codec = eng._codec("zfp", rate=16)
+    codec = eng._codec("zfp", 16)
     comps = [GLOBAL_CODEC_CACHE.compress(codec, p) for p in np.array_split(data, 4)]
     decoded = np.concatenate([codec.decompress(c) for c in comps])
     assert eng._plan_crc(codec, data, comps) == payload_crc32(decoded)
@@ -309,3 +313,74 @@ def test_payload_partition_size_mismatch_rejected():
 
     with pytest.raises(CompressionError):
         sim.run_process(proc())
+
+
+# -- one sender pipeline for every transport codec --------------------------------
+
+def _pingpong(config, data, faults=None):
+    """Rank 0 sends ``data`` to rank 1, which sends what it got back."""
+    cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
+
+    def rank_fn(comm):
+        if comm.rank == 0:
+            yield from comm.send(data, 1, tag=1)
+            got = yield from comm.recv(1, tag=2)
+            return got
+        got = yield from comm.recv(0, tag=1)
+        yield from comm.send(got, 0, tag=2)
+        return got
+
+    return cluster.run(rank_fn, config=config, faults=faults)
+
+
+def _wave_f64(nbytes):
+    return make_payload("wave", nbytes // 2, seed=1).astype(np.float64)
+
+
+@pytest.mark.parametrize("algorithm", ["sz", "fpc", "gfc"])
+def test_pipelined_pingpong_round_trips_every_codec(algorithm):
+    config = CompressionConfig(enabled=True, algorithm=algorithm,
+                               pipeline=True, partitions=4)
+    data = _wave_f64(1 * MiB)
+    res = _pingpong(config, data)
+    m = res.tracer.metrics
+    assert m.counter("mpi.sends", protocol="rndv_pipelined") == 2
+    assert 0 < m.counter("compress.bytes_out", codec=algorithm) \
+        < m.counter("compress.bytes_in", codec=algorithm)
+    if algorithm == "sz":
+        # each hop stays within the bound the header carries
+        bound = float(np.float32(config.sz_error_bound))
+        hop1, hop2 = res.values[1], res.values[0]
+        assert np.abs(hop1 - data).max() <= bound
+        assert np.abs(hop2 - hop1).max() <= bound
+    else:
+        for got in res.values:
+            assert got.tobytes() == data.tobytes()
+
+
+def test_sz_float64_send_survives_compress_failures():
+    """The sender encodes with the float32 bound it puts in the header,
+    so the receiver's decode matches the sender's integrity stamp."""
+    config = CompressionConfig(enabled=True, algorithm="sz")
+    data = _wave_f64(4 * MiB)
+    res = _pingpong(config, data,
+                    faults=FaultPlan(seed=11, compress_fail_rate=0.2))
+    m = res.tracer.metrics
+    assert m.counter_total("resilience.retransmit") == 0
+    assert m.counter("compress.bytes_in", codec="sz") > 0
+    bound = float(np.float32(config.sz_error_bound))
+    assert np.abs(res.values[1] - data).max() <= bound
+
+
+@pytest.mark.parametrize("algorithm", ["mpc", "zfp", "sz", "fpc"])
+def test_adaptive_policy_learns_from_every_codec(algorithm):
+    cfg = CompressionConfig(enabled=True, algorithm=algorithm, threshold=0,
+                            adaptive=True)
+    sim, dev, eng = make_engine(cfg)
+    data = smooth_f32(100_000)
+    plan = run_send(eng, data)
+    assert plan.compressed
+    st = eng.adaptive_policy.stats(data.nbytes)
+    assert st.samples == 1
+    assert st.ratio == pytest.approx(data.nbytes / plan.wire_nbytes)
+    assert st.compress_time > 0 and st.decompress_time > 0
